@@ -2,10 +2,14 @@
 
 The performance work on the kernel, pipeline, net and metrics layers is
 only acceptable if it changes *nothing* observable: same seeds must
-produce byte-identical experiment outputs. This test replays one point
-of each experiment family (clustering, QoS, failure recovery) and
+produce byte-identical experiment outputs. This test replays one short
+point of every experiment entry point (clustering, QoS in both access
+models, failure recovery, sharded serial/partitioned, overload, the
+chaos/shard-chaos/scale-chaos soaks, the cache tier, autoscaling) and
 compares the result — floats via ``repr``, so even a single ulp of
-drift fails — against ``golden_determinism.json``.
+drift fails — against ``golden_determinism.json``. It also pins the
+stage-name order of every stage composition the experiments run and
+the stage listings the CLI ``--describe`` pages print.
 
 The golden file was captured from the pre-optimization tree; it must
 only ever be regenerated for a *deliberate* behavioural change (new
@@ -21,11 +25,30 @@ accidental one::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
-from repro.workload.chaos import run_autoscale_experiment
+from repro.cli import main as cli_main
+from repro.core.autoscale import TenantThrottle, TokenBucket
+from repro.core.faulttolerance import RetryPolicy
+from repro.core.pipeline import (
+    BackpressureStage,
+    ThrottleStage,
+    fault_tolerant_stage_plan,
+    overload_protected_stage_plan,
+    stage_plan,
+)
+from repro.workload.chaos import (
+    run_autoscale_experiment,
+    run_chaos_experiment,
+    run_overload_experiment,
+    run_scale_chaos_experiment,
+    run_shard_chaos_experiment,
+)
 from repro.workload.scenarios import (
+    run_cache_tier_experiment,
     run_clustering_experiment,
     run_failure_recovery_experiment,
     run_qos_experiment,
@@ -51,23 +74,31 @@ def snapshot():
         }
     snap["fig7"] = fig7
 
-    qos = run_qos_experiment(12, mode="broker", duration=30.0, seed=2026)
-    snap["table1"] = {
-        "completions": {str(k): v for k, v in sorted(qos.completions.items())},
-        "full_fidelity": {
-            str(k): v for k, v in sorted(qos.full_fidelity.items())
-        },
-        "drop_ratios": {
-            broker: {str(k): repr(v) for k, v in sorted(ratios.items())}
-            for broker, ratios in sorted(qos.drop_ratios.items())
-        },
-        "mean_response": {
-            str(k): repr(v.mean) for k, v in sorted(qos.response_times.items())
-        },
-        "p99_response": {
-            str(k): repr(v.p99) for k, v in sorted(qos.response_times.items())
-        },
-    }
+    def qos_section(qos):
+        return {
+            "completions": {
+                str(k): v for k, v in sorted(qos.completions.items())
+            },
+            "full_fidelity": {
+                str(k): v for k, v in sorted(qos.full_fidelity.items())
+            },
+            "drop_ratios": {
+                broker: {str(k): repr(v) for k, v in sorted(ratios.items())}
+                for broker, ratios in sorted(qos.drop_ratios.items())
+            },
+            "mean_response": {
+                str(k): repr(v.mean)
+                for k, v in sorted(qos.response_times.items())
+            },
+            "p99_response": {
+                str(k): repr(v.p99)
+                for k, v in sorted(qos.response_times.items())
+            },
+        }
+
+    snap["table1"] = qos_section(
+        run_qos_experiment(12, mode="broker", duration=30.0, seed=2026)
+    )
 
     fr = run_failure_recovery_experiment(
         mtbf=20.0, mttr=5.0, replicas=2, duration=60.0,
@@ -157,7 +188,125 @@ def snapshot():
         },
         "timeline_len": len(scale.timeline),
     }
+
+    snap["qos_centralized"] = qos_section(
+        run_qos_experiment(12, mode="centralized", duration=30.0, seed=2026)
+    )
+    snap["sharded_centralized"] = sharded_section(
+        run_sharded_qos_experiment(
+            12, shards=2, replicas=2, duration=30.0, seed=2026,
+            mode="centralized",
+        )
+    )
+    # The partitioned path is deterministic in (seed, shards); any
+    # worker count >= 2 gives these bytes.
+    snap["sharded_workers2"] = sharded_section(
+        run_sharded_qos_experiment(
+            12, shards=2, replicas=2, duration=30.0, seed=2026, workers=2
+        )
+    )
+
+    overload = run_overload_experiment(
+        saturation=2.5, bounded=True, duration=5.0, drain=15.0, seed=2026
+    )
+    snap["overload"] = {
+        "issued": {str(k): v for k, v in sorted(overload.issued.items())},
+        "ok": {str(k): v for k, v in sorted(overload.ok.items())},
+        "degraded": {str(k): v for k, v in sorted(overload.degraded.items())},
+        "dropped": {str(k): v for k, v in sorted(overload.dropped.items())},
+        "goodput": {
+            str(k): repr(v) for k, v in sorted(overload.goodput.items())
+        },
+        "mean_latency": {
+            str(k): repr(v.mean) for k, v in sorted(overload.latency.items())
+        },
+        "shed": overload.shed,
+        "peak_depth": overload.peak_depth,
+        "backpressure_engaged": overload.backpressure_engaged,
+    }
+
+    # Soaks: the JSON summaries plus the exact latency mean (the
+    # summaries round percentiles to 6 places).
+    def soak_section(result):
+        section = result.to_summary()
+        section["latency_mean"] = repr(result.latency.mean)
+        return section
+
+    snap["chaos"] = soak_section(
+        run_chaos_experiment(duration=30.0, spike_every=12.0, seed=2026)
+    )
+    snap["shard_chaos"] = soak_section(
+        run_shard_chaos_experiment(
+            duration=30.0, shards=2, replicas=2, seed=2026
+        )
+    )
+    snap["scale_chaos"] = soak_section(
+        run_scale_chaos_experiment(duration=48.0, seed=2026)
+    )
+
+    cache = run_cache_tier_experiment(
+        n_clients=80, brokers=4, duration=2.0, table_rows=2000, seed=2026
+    )
+    snap["cache_tier"] = {
+        name: (repr(value.mean) if name == "latency" else value)
+        for name, value in sorted(vars(cache).items())
+    }
+
+    snap["stage_orders"] = stage_orders()
+    snap["describe"] = describe_texts()
     return snap
+
+
+def stage_orders():
+    """Stage-name order of every composition the experiments run."""
+    hardened = fault_tolerant_stage_plan(
+        retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
+        failure_threshold=3,
+        reset_timeout=0.5,
+    )
+    boundary = next(i for i, stage in enumerate(hardened) if stage.boundary)
+    hardened.insert(boundary, BackpressureStage(48))
+    throttled = list(hardened)
+    throttled.insert(2, ThrottleStage(TenantThrottle(rate=1.0, burst=1.0)))
+    plans = {
+        model: stage_plan(model)
+        for model in (
+            "distributed", "centralized", "fault-tolerant", "sharded",
+            "cache-tier",
+        )
+    }
+    plans["overload"] = overload_protected_stage_plan(40)
+    plans["hardened"] = hardened
+    plans["hardened-throttled"] = throttled
+    return {
+        name: [stage.name for stage in stages]
+        for name, stages in sorted(plans.items())
+    }
+
+
+def _cli_text(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(list(argv)) == 0
+    return out.getvalue()
+
+
+def _stage_block(text):
+    """The stage listing of a ``--describe`` page (header to blank line)."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if "pipeline (" in line)
+    end = lines.index("", start)
+    return lines[start:end]
+
+
+def describe_texts():
+    """The pinned ``--describe`` renderings of every stage plan."""
+    return {
+        "pipeline": _cli_text("pipeline", "--describe").splitlines(),
+        "faults": _stage_block(_cli_text("faults", "--describe")),
+        "shard": _stage_block(_cli_text("shard", "--describe")),
+        "cache": _stage_block(_cli_text("cache", "--describe")),
+    }
 
 
 def test_experiments_match_golden_snapshot():
