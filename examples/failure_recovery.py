@@ -32,8 +32,9 @@ from repro import (
     Simulation,
     SlowBackend,
     SummaryStats,
-    fault_tolerant_stage_plan,
+    compose_stages,
 )
+from repro.core.pipeline import CircuitBreakerStage, RetryStage, TimeoutBudgetStage
 
 N_CLIENTS = 6
 DURATION = 60.0
@@ -72,10 +73,10 @@ def main() -> None:
         pool_size=4,
         dispatchers=8,
         name="ft-broker",
-        stages=fault_tolerant_stage_plan(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.05),
-            failure_threshold=3,
-            reset_timeout=0.5,
+        stages=compose_stages(
+            TimeoutBudgetStage(),
+            CircuitBreakerStage(reset_timeout=0.5),
+            RetryStage(RetryPolicy(max_attempts=3, base_delay=0.05)),
         ),
     )
     client = BrokerClient(sim, web_node, {"items": broker.address})

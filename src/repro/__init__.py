@@ -69,12 +69,7 @@ from .core import (
     ShardPeerGroup,
     StagePipeline,
     TransactionTracker,
-    cache_tier_stage_plan,
-    centralized_stage_plan,
-    distributed_stage_plan,
-    fault_tolerant_stage_plan,
-    overload_protected_stage_plan,
-    sharded_stage_plan,
+    compose_stages,
 )
 from .db import Database, DatabaseClient, DatabaseServer
 from .frontend import ApiBackendGateway, FrontendWebServer, WebApplication, qos_of
@@ -175,12 +170,7 @@ __all__ = [
     "BrokerStage",
     "StagePipeline",
     "RequestContext",
-    "distributed_stage_plan",
-    "centralized_stage_plan",
-    "fault_tolerant_stage_plan",
-    "overload_protected_stage_plan",
-    "sharded_stage_plan",
-    "cache_tier_stage_plan",
+    "compose_stages",
     "HashRing",
     "ShardGroup",
     "ShardDirectory",

@@ -49,6 +49,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
+from .core.pipeline import STAGE_MODELS, stage_plan
 from .metrics import render_table
 from .workload import (
     run_autoscale_experiment,
@@ -143,10 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pipeline.add_argument(
         "--model",
-        choices=(
-            "distributed", "centralized", "fault-tolerant", "sharded",
-            "cache-tier", "all",
-        ),
+        choices=(*STAGE_MODELS, "all"),
         default="all",
         help="which stage plan to describe (default: all)",
     )
@@ -598,29 +596,28 @@ def run_drops(args) -> str:
     return "\n\n".join(sections)
 
 
+def _render_stages(title: str, stages, width: int = 12) -> List[str]:
+    """*title* followed by one numbered, summarized line per stage."""
+    lines = [title]
+    for index, stage in enumerate(stages, 1):
+        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
+        lines.append(f"  {index:>2}. {stage.name:<{width}} {stage.summary()}{marker}")
+    return lines
+
+
 def run_pipeline(args) -> str:
     """Render the stage order of the requested broker model(s)."""
-    from .core.pipeline import stage_plan
-
-    models = (
-        ("distributed", "centralized", "fault-tolerant", "sharded", "cache-tier")
-        if args.model == "all"
-        else (args.model,)
-    )
+    models = STAGE_MODELS if args.model == "all" else (args.model,)
     sections = []
     for model in models:
         stages = stage_plan(model)
-        lines = [f"{model} broker pipeline ({len(stages)} stages):"]
-        for index, stage in enumerate(stages, 1):
-            marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-            lines.append(f"  {index:>2}. {stage.name:<12} {stage.summary()}{marker}")
-        sections.append("\n".join(lines))
+        title = f"{model} broker pipeline ({len(stages)} stages):"
+        sections.append("\n".join(_render_stages(title, stages)))
     return "\n\n".join(sections)
 
 
 def _describe_faults() -> str:
     from .core.faulttolerance import RetryPolicy
-    from .core.pipeline import stage_plan
     from .net.faults import BackendCrash, LinkDegrade, LinkDown, SlowBackend
 
     lines = ["Fault types (repro.net.faults — scheduled via FaultPlan):"]
@@ -628,10 +625,10 @@ def _describe_faults() -> str:
         summary = (cls.__doc__ or "").strip().splitlines()[0]
         lines.append(f"  {cls.kind:<14} {summary}")
     lines.append("")
-    lines.append("Fault-tolerant broker pipeline (stage_plan('fault-tolerant')):")
-    for index, stage in enumerate(stage_plan("fault-tolerant"), 1):
-        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-        lines.append(f"  {index:>2}. {stage.name:<12} {stage.summary()}{marker}")
+    lines += _render_stages(
+        "Fault-tolerant broker pipeline (stage_plan('fault-tolerant')):",
+        stage_plan("fault-tolerant"),
+    )
     policy = RetryPolicy()
     lines += [
         "",
@@ -690,14 +687,12 @@ def run_faults(args) -> str:
 
 
 def _describe_shard() -> str:
-    from .core.pipeline import stage_plan
     from .core.sharding import ShardDirectory, ShardGroup
     from .metrics import MetricsRegistry
 
-    lines = ["Sharded broker pipeline (stage_plan('sharded')):"]
-    for index, stage in enumerate(stage_plan("sharded"), 1):
-        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-        lines.append(f"  {index:>2}. {stage.name:<12} {stage.summary()}{marker}")
+    lines = _render_stages(
+        "Sharded broker pipeline (stage_plan('sharded')):", stage_plan("sharded")
+    )
     lines += [
         "",
         "Routing: the front end addresses a *service*; the shard directory",
@@ -1110,12 +1105,11 @@ def _finish_scale_report(args, result, lines: List[str]) -> str:
 
 
 def _describe_cache() -> str:
-    from .core.pipeline import stage_plan
-
-    lines = ["Cache-tier broker pipeline (stage_plan('cache-tier')):"]
-    for index, stage in enumerate(stage_plan("cache-tier"), 1):
-        marker = "  [ingress/dispatch boundary]" if stage.boundary else ""
-        lines.append(f"  {index:>2}. {stage.name:<13} {stage.summary()}{marker}")
+    lines = _render_stages(
+        "Cache-tier broker pipeline (stage_plan('cache-tier')):",
+        stage_plan("cache-tier"),
+        width=13,
+    )
     lines += [
         "",
         "Shared cache tier (repro.core.cachetier.SharedCacheTier): one",

@@ -51,7 +51,7 @@ from .pipeline import (
     LoadReportStage,
     RequestContext,
     StagePipeline,
-    distributed_stage_plan,
+    compose_stages,
 )
 from .pool import ConnectionPool
 from .protocol import BrokerReply, BrokerRequest, ReplyStatus
@@ -95,10 +95,11 @@ class ServiceBroker:
     stages:
         The broker's stage plan — an ordered list of
         :class:`~repro.core.pipeline.BrokerStage` objects. Defaults to
-        :func:`~repro.core.pipeline.distributed_stage_plan`; pass
-        :func:`~repro.core.pipeline.centralized_stage_plan` () for the
-        centralized model, or any custom list. Plans are per-broker
-        (stages bind to exactly one broker).
+        the distributed model, ``compose_stages()``; pass
+        ``compose_stages(LoadReportStage())`` for the centralized model
+        (see :func:`~repro.core.pipeline.compose_stages`), or any
+        hand-built list. Plans are per-broker (stages bind to exactly
+        one broker).
     """
 
     def __init__(
@@ -194,7 +195,7 @@ class ServiceBroker:
         self._heartbeat: Optional[tuple] = None
         #: The request path as an ordered, composable stage list.
         self.pipeline = StagePipeline(
-            self, stages if stages is not None else distributed_stage_plan()
+            self, stages if stages is not None else compose_stages()
         )
         worker_count = (
             dispatchers if dispatchers is not None else len(self.backends) * pool_size

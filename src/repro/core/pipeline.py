@@ -10,21 +10,25 @@ into a :class:`StagePipeline`, and every request carries a
 through the net layer, through every stage, to the backend adapter and
 back.
 
-Three stock configurations express the paper's models as *stage plans*
-rather than code paths:
+Which stages a broker runs, and in what order, is decided in one place:
+:data:`CANONICAL_STAGES` is the total stage order and
+:func:`compose_stages` builds every plan as a subsequence of it. Callers
+hand the composer the optional stages they want, configured; they never
+give a position. The paper's two models are two such compositions:
 
-* :func:`distributed_stage_plan` — admission happens at the broker
-  (§III, Figure 2);
-* :func:`centralized_stage_plan` — admission happens at the front end
-  from streamed load reports, so the broker omits its admission gate
-  and gains a :class:`LoadReportStage` (§IV, Figure 4);
-* :func:`fault_tolerant_stage_plan` — the distributed plan hardened for
-  backend failures: a :class:`TimeoutBudgetStage` stamps each request
-  with its QoS deadline, and dispatch runs through
-  :class:`CircuitBreakerStage` → :class:`RetryStage` →
-  :class:`FailoverStage` before a second :class:`FidelityFallbackStage`
-  converts whatever still failed into the paper's §III degraded reply
-  (stale cache or busy notice) instead of an error.
+* the distributed model (§III, Figure 2) is the core plan, with the
+  :class:`AdmissionStage` gate at the broker — ``compose_stages()``;
+* the centralized model (§IV, Figure 4) admits at the front end from
+  streamed load reports, so a plan carrying a :class:`LoadReportStage`
+  drops the broker's admission gate —
+  ``compose_stages(LoadReportStage())``.
+
+Configuring any of :class:`CircuitBreakerStage`, :class:`RetryStage`
+or :class:`FailoverStage` swaps plain execution for the fault-tolerant
+dispatch branch (breaker → retry → failover → a second
+:class:`FidelityFallbackStage` that converts whatever still failed into
+the paper's §III degraded reply). :data:`STAGE_MODELS` names the stock
+compositions that ``repro pipeline --describe`` prints.
 
 The context records a per-stage timeline (enter/exit timestamps and the
 stage's decision) and the pipeline mirrors it into the broker's
@@ -42,7 +46,6 @@ from inspect import isgeneratorfunction
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     Iterator,
     List,
@@ -99,12 +102,9 @@ __all__ = [
     "ReplyStage",
     "LoadReportStage",
     "execute_batch_on",
-    "distributed_stage_plan",
-    "centralized_stage_plan",
-    "fault_tolerant_stage_plan",
-    "overload_protected_stage_plan",
-    "sharded_stage_plan",
-    "cache_tier_stage_plan",
+    "CANONICAL_STAGES",
+    "STAGE_MODELS",
+    "compose_stages",
     "stage_plan",
 ]
 
@@ -775,9 +775,10 @@ class ThrottleStage(BrokerStage):
     deliberately distinct from admission drops (``broker.drops.*``, we
     chose not to serve) and backpressure sheds (``broker.shed.*``, we
     admitted but could not keep). Not part of any default stage plan;
-    insert it explicitly (the front end carries the first-line tenant
-    throttle — see :class:`~repro.frontend.server.FrontendWebServer` —
-    and this stage protects brokers reachable without that front end).
+    pass one to :func:`compose_stages` (the front end carries the
+    first-line tenant throttle — see
+    :class:`~repro.frontend.server.FrontendWebServer` — and this stage
+    protects brokers reachable without that front end).
     """
 
     name = "throttle"
@@ -1916,24 +1917,6 @@ class StagePipeline:
                 return stage
         raise BrokerError(f"no stage named {name!r} in {self.describe()}")
 
-    def _index_of(self, name: str) -> int:
-        for index, stage in enumerate(self.stages):
-            if stage.name == name:
-                return index
-        raise BrokerError(f"no stage named {name!r} in {self.describe()}")
-
-    def insert_before(self, name: str, stage: BrokerStage) -> None:
-        """Insert *stage* immediately before the stage called *name*."""
-        stage.bind(self.broker)
-        self.stages.insert(self._index_of(name), stage)
-        self._split()
-
-    def insert_after(self, name: str, stage: BrokerStage) -> None:
-        """Insert *stage* immediately after the stage called *name*."""
-        stage.bind(self.broker)
-        self.stages.insert(self._index_of(name) + 1, stage)
-        self._split()
-
     def append(self, stage: BrokerStage) -> None:
         """Add *stage* at the end of the dispatch section."""
         stage.bind(self.broker)
@@ -2048,204 +2031,118 @@ class StagePipeline:
 
 
 # ---------------------------------------------------------------------------
-# Stock stage plans (the paper's two models as configurations)
+# Stage plans: one canonical order, one composer
 # ---------------------------------------------------------------------------
 
+#: The canonical stage order: every stage plan is a subsequence of it,
+#: and :func:`compose_stages` is the only code that orders stages. Each
+#: row is ``(stage class, presence rule)``:
+#:
+#: * ``"always"`` — in every plan (a default instance unless the caller
+#:   configures one);
+#: * ``"if-given"`` — only when the caller passes an instance;
+#: * ``"unless-load-report"`` — the broker-side admission gate, left out
+#:   when the plan reports load to a front end that admits (§IV);
+#: * ``"unless-fault-tolerant"`` / ``"if-fault-tolerant"`` — the
+#:   ``execute`` vs ``breaker → retry → failover → fidelity`` dispatch
+#:   swap; the fault-tolerant branch is taken when the caller configures
+#:   any of its stages, and its other stages get default instances.
+#:
+#: ``fidelity`` appears twice: the ingress fallback, and the
+#: dispatch-side fallback closing the fault-tolerant branch (always a
+#: default instance; a configured one fills the ingress slot).
+CANONICAL_STAGES: Tuple[Tuple[type, str], ...] = (
+    (ValidateServiceStage, "always"),
+    (ShardRouteStage, "if-given"),
+    (ArrivalStage, "always"),
+    (ThrottleStage, "if-given"),
+    (TimeoutBudgetStage, "if-given"),
+    (CacheLookupStage, "always"),
+    (CacheTierStage, "if-given"),
+    (AdmissionStage, "unless-load-report"),
+    (FidelityFallbackStage, "always"),
+    (BackpressureStage, "if-given"),
+    (EnqueueStage, "always"),
+    (ClusterStage, "always"),
+    (QueryCombineStage, "if-given"),
+    (ExecuteStage, "unless-fault-tolerant"),
+    (CircuitBreakerStage, "if-fault-tolerant"),
+    (RetryStage, "if-fault-tolerant"),
+    (FailoverStage, "if-fault-tolerant"),
+    (FidelityFallbackStage, "if-fault-tolerant"),
+    (CacheFillStage, "always"),
+    (ReplyStage, "always"),
+    (LoadReportStage, "if-given"),
+)
 
-def distributed_stage_plan() -> List[BrokerStage]:
-    """The distributed model (§III): admission happens at the broker."""
-    return [
-        ValidateServiceStage(),
-        ArrivalStage(),
-        CacheLookupStage(),
-        AdmissionStage(),
-        FidelityFallbackStage(),
-        EnqueueStage(),
-        ClusterStage(),
-        ExecuteStage(),
-        CacheFillStage(),
-        ReplyStage(),
-    ]
+_FAULT_TOLERANT_STAGES = frozenset(
+    (CircuitBreakerStage.name, RetryStage.name, FailoverStage.name)
+)
 
 
-def centralized_stage_plan() -> List[BrokerStage]:
-    """The centralized model (§IV): front-end admission + load reports.
+def compose_stages(*stages: Optional[BrokerStage]) -> List[BrokerStage]:
+    """The stage plan holding *stages*, each at its canonical place.
 
-    The broker omits its admission gate (the front end rejects from
-    streamed load state before requests reach the broker) and carries a
-    :class:`LoadReportStage` feeding the front end's listener.
+    *stages* are configured instances of the optional stages the caller
+    wants (``None`` entries are skipped, so a stage can be passed
+    conditionally), or replacements for default ones; every stage not
+    given is filled in per :data:`CANONICAL_STAGES`. With no arguments
+    this is the distributed model (§III). A stage named twice, or one
+    with no slot in the canonical order, is a :class:`BrokerError` —
+    a hand-built list passed as ``ServiceBroker(stages=...)`` is the
+    way to run third-party stages.
     """
-    return [
-        ValidateServiceStage(),
-        ArrivalStage(),
-        CacheLookupStage(),
-        FidelityFallbackStage(),
-        EnqueueStage(),
-        ClusterStage(),
-        ExecuteStage(),
-        CacheFillStage(),
-        ReplyStage(),
-        LoadReportStage(),
-    ]
-
-
-def fault_tolerant_stage_plan(
-    default_budget: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    failure_threshold: int = 3,
-    reset_timeout: float = 1.0,
-    half_open_probes: int = 1,
-) -> List[BrokerStage]:
-    """The distributed plan hardened against backend faults.
-
-    Ingress gains a :class:`TimeoutBudgetStage` (per-request deadlines
-    from the QoS spec, *default_budget* for classes without one);
-    dispatch runs breaker → retry → failover around the execution, and
-    a second :class:`FidelityFallbackStage` converts anything still
-    faulted into the §III degraded reply. With healthy backends the
-    added stages are pass-throughs and behavior matches the distributed
-    plan.
-    """
-    return [
-        ValidateServiceStage(),
-        ArrivalStage(),
-        TimeoutBudgetStage(default_budget=default_budget),
-        CacheLookupStage(),
-        AdmissionStage(),
-        FidelityFallbackStage(),
-        EnqueueStage(),
-        ClusterStage(),
-        CircuitBreakerStage(
-            failure_threshold=failure_threshold,
-            reset_timeout=reset_timeout,
-            half_open_probes=half_open_probes,
-        ),
-        RetryStage(policy=retry),
-        FailoverStage(),
-        FidelityFallbackStage(),
-        CacheFillStage(),
-        ReplyStage(),
-    ]
-
-
-def overload_protected_stage_plan(
-    capacity: int,
-    shed_policy: str = "drop-lowest",
-    high_watermark: float = 0.75,
-    low_watermark: float = 0.5,
-) -> List[BrokerStage]:
-    """The distributed plan plus bounded-queue backpressure.
-
-    Inserts a :class:`BackpressureStage` just before the enqueue
-    boundary: the queue is capped at *capacity*, overflow is shed per
-    *shed_policy*, and the watermark throttle can signal the front end
-    (see :meth:`BackpressureStage.add_listener`).
-    """
-    plan = distributed_stage_plan()
-    boundary = next(
-        index for index, stage in enumerate(plan) if stage.boundary
-    )
-    plan.insert(
-        boundary,
-        BackpressureStage(
-            capacity,
-            shed_policy=shed_policy,
-            high_watermark=high_watermark,
-            low_watermark=low_watermark,
-        ),
-    )
+    given: Dict[str, BrokerStage] = {}
+    for stage in stages:
+        if stage is None:
+            continue
+        if stage.name in given:
+            raise BrokerError(f"stage {stage.name!r} given twice")
+        given[stage.name] = stage
+    unknown = set(given) - {cls.name for cls, _ in CANONICAL_STAGES}
+    if unknown:
+        raise BrokerError(
+            f"no canonical slot for stage(s) {sorted(unknown)}; pass a "
+            "hand-built list to ServiceBroker(stages=...) instead"
+        )
+    fault_tolerant = not _FAULT_TOLERANT_STAGES.isdisjoint(given)
+    included = {
+        "always": True,
+        "if-given": False,
+        "unless-load-report": LoadReportStage.name not in given,
+        "unless-fault-tolerant": not fault_tolerant,
+        "if-fault-tolerant": fault_tolerant,
+    }
+    plan: List[BrokerStage] = []
+    for cls, rule in CANONICAL_STAGES:
+        stage = given.pop(cls.name, None)
+        if stage is None and included[rule]:
+            stage = cls()
+        if stage is not None:
+            plan.append(stage)
     return plan
 
 
-def sharded_stage_plan(
-    directory=None,
-    shard: int = 0,
-    base: str = "distributed",
-) -> List[BrokerStage]:
-    """The *base* model's plan with shard routing at ingress.
-
-    Inserts a :class:`ShardRouteStage` immediately after service
-    validation, so a request landing on the wrong shard is relayed to
-    the owning shard's leader *before* it consumes any local admission
-    slot or queue capacity. Pass the topology's
-    :class:`~repro.core.sharding.ShardDirectory` and this broker's
-    *shard* index; with the defaults (no directory) the stage is a
-    pass-through and the plan behaves exactly like the base model —
-    the degenerate 1-shard/1-replica configuration.
-    """
-    plan = stage_plan(base)
-    index = next(
-        (
-            i + 1
-            for i, stage in enumerate(plan)
-            if stage.name == ValidateServiceStage.name
-        ),
-        0,
-    )
-    plan.insert(index, ShardRouteStage(directory=directory, shard=shard))
-    return plan
-
-
-def cache_tier_stage_plan(
-    tier=None,
-    base: str = "distributed",
-    combine_window: Optional[float] = None,
-    combine_max_batch: Optional[int] = None,
-) -> List[BrokerStage]:
-    """The *base* model's plan with the cross-request optimization tier.
-
-    Inserts a :class:`CacheTierStage` right after the per-broker
-    ``cache-lookup`` (local hits stay local; local misses get a second
-    chance against the shared tier) and a :class:`QueryCombineStage`
-    right after ``cluster`` (per-broker batches widen across the peer
-    mesh before execution). Pass the deployment's
-    :class:`~repro.core.cachetier.SharedCacheTier`; with the default
-    (``tier=None``, no peer group) both stages are pass-throughs and
-    the plan behaves exactly like the base model.
-    """
-    plan = stage_plan(base)
-    lookup = next(
-        (
-            i + 1
-            for i, stage in enumerate(plan)
-            if stage.name == CacheLookupStage.name
-        ),
-        0,
-    )
-    plan.insert(lookup, CacheTierStage(tier=tier))
-    cluster = next(
-        (
-            i + 1
-            for i, stage in enumerate(plan)
-            if stage.name == ClusterStage.name
-        ),
-        len(plan),
-    )
-    plan.insert(
-        cluster,
-        QueryCombineStage(window=combine_window, max_batch=combine_max_batch),
-    )
-    return plan
-
-
-#: Factories for the stock stage plans, by model name.
-_STAGE_PLANS: Dict[str, Callable[[], List[BrokerStage]]] = {
-    "distributed": distributed_stage_plan,
-    "centralized": centralized_stage_plan,
-    "fault-tolerant": fault_tolerant_stage_plan,
-    "sharded": sharded_stage_plan,
-    "cache-tier": cache_tier_stage_plan,
+#: The named compositions ``repro pipeline --model`` describes: the
+#: optional stages (at their defaults) each model adds to the core plan.
+STAGE_MODELS: Dict[str, Tuple[type, ...]] = {
+    "distributed": (),
+    "centralized": (LoadReportStage,),
+    "fault-tolerant": (
+        TimeoutBudgetStage, CircuitBreakerStage, RetryStage, FailoverStage,
+    ),
+    "sharded": (ShardRouteStage,),
+    "cache-tier": (CacheTierStage, QueryCombineStage),
 }
 
 
 def stage_plan(model: str) -> List[BrokerStage]:
-    """The stock stage plan for *model* (e.g. ``"distributed"``,
-    ``"centralized"``, ``"fault-tolerant"``)."""
+    """The named composition *model* (see :data:`STAGE_MODELS`)."""
     try:
-        factory = _STAGE_PLANS[model]
+        extras = STAGE_MODELS[model]
     except KeyError:
         raise BrokerError(
             f"unknown broker model {model!r}; "
-            f"expected one of {sorted(_STAGE_PLANS)}"
+            f"expected one of {sorted(STAGE_MODELS)}"
         ) from None
-    return factory()
+    return compose_stages(*(cls() for cls in extras))

@@ -414,6 +414,13 @@ class ParallelSimulation:
                 for result in self._expect(conn, "results"):
                     results[result.name] = result
             return {spec.name: results[spec.name] for spec in self.partitions}
+        except BaseException:
+            # Abort the run: sibling workers block in ``recv`` for a
+            # window that will never come (each forked child also holds
+            # the coordinator's pipe ends, so closing ours sends no EOF).
+            for proc in procs:
+                proc.terminate()
+            raise
         finally:
             for conn in conns:
                 conn.close()

@@ -61,11 +61,12 @@ from ..core.lifecycle import BrokerSupervisor, RecoveryJournal
 from ..core.peering import ShardPeerGroup
 from ..core.pipeline import (
     BackpressureStage,
+    CircuitBreakerStage,
+    RetryStage,
+    ShardRouteStage,
     ThrottleStage,
-    distributed_stage_plan,
-    fault_tolerant_stage_plan,
-    overload_protected_stage_plan,
-    sharded_stage_plan,
+    TimeoutBudgetStage,
+    compose_stages,
 )
 from ..core.protocol import ReplyStatus
 from ..core.qos import QoSPolicy
@@ -161,7 +162,8 @@ def run_overload_experiment(
     only the background pressure changes.
 
     With ``bounded=True`` the broker runs
-    :func:`~repro.core.pipeline.overload_protected_stage_plan`:
+    the distributed plan plus a
+    :class:`~repro.core.pipeline.BackpressureStage`:
     priority queueing plus a *capacity*-bounded queue shedding per
     *shed_policy*. With ``bounded=False`` it runs the unprotected
     baseline — the paper's binary forward-or-drop testbed (§III): FCFS
@@ -192,12 +194,6 @@ def run_overload_experiment(
     server.add_cgi("/item", item_cgi)
 
     qos = QoSPolicy(levels=3, threshold=10_000)  # isolate the queue bound
-    if bounded:
-        stages = overload_protected_stage_plan(capacity, shed_policy=shed_policy)
-        priority_queueing = True
-    else:
-        stages = distributed_stage_plan()
-        priority_queueing = False
     broker = ServiceBroker(
         sim,
         web_node,
@@ -205,9 +201,11 @@ def run_overload_experiment(
         adapters=[HttpAdapter(sim, web_node, server.address, name=server.name)],
         qos=qos,
         pool_size=backend_capacity,
-        priority_queueing=priority_queueing,
+        priority_queueing=bounded,
         name="overload-broker",
-        stages=stages,
+        stages=compose_stages(
+            BackpressureStage(capacity, shed_policy=shed_policy) if bounded else None
+        ),
     )
     broker_client = BrokerClient(sim, web_node, {"items": broker.address})
 
@@ -401,18 +399,6 @@ class ChaosResult:
         }
 
 
-def _hardened_stages(capacity: int, shed_policy: str) -> list:
-    """The fault-tolerant plan with backpressure before the boundary."""
-    plan = fault_tolerant_stage_plan(
-        retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
-        failure_threshold=3,
-        reset_timeout=0.5,
-    )
-    boundary = next(index for index, stage in enumerate(plan) if stage.boundary)
-    plan.insert(boundary, BackpressureStage(capacity, shed_policy=shed_policy))
-    return plan
-
-
 def run_chaos_experiment(
     duration: float = 300.0,
     mtbf: float = 25.0,
@@ -519,7 +505,12 @@ def run_chaos_experiment(
             dispatchers=backend_capacity * len(backends),
             metrics=metrics,
             name=f"chaos-{suffix}",
-            stages=_hardened_stages(capacity, shed_policy),
+            stages=compose_stages(
+                TimeoutBudgetStage(),
+                CircuitBreakerStage(reset_timeout=0.5),
+                RetryStage(RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)),
+                BackpressureStage(capacity, shed_policy=shed_policy),
+            ),
         )
         services.append(service)
 
@@ -977,7 +968,7 @@ def run_shard_chaos_experiment(
                 dispatchers=backend_capacity,
                 metrics=metrics,
                 name=f"shard{shard}r{replica}",
-                stages=sharded_stage_plan(directory, shard=shard),
+                stages=compose_stages(ShardRouteStage(directory, shard=shard)),
             )
             next_port += 1
             # Supervise first (installs the journal), then join the
@@ -1233,7 +1224,7 @@ def _elastic_pool(
     One *unit* = one broker plus its own dedicated backend web server
     (so backend capacity scales with the pool), running the hardened
     stage plan — with a :class:`~repro.core.pipeline.ThrottleStage`
-    inserted before admission when *throttle* is given. Every unit is
+    before admission when *throttle* is given. Every unit is
     supervised (heartbeats + recovery journal), reports load to a
     :class:`~repro.core.centralized.LoadListener`, and joins a single
     :class:`~repro.core.sharding.ShardGroup` so drains exercise the
@@ -1268,11 +1259,15 @@ def _elastic_pool(
             return HttpResponse.text(f"item={request.param('id', '?')}")
 
         backend.add_cgi("/item", item_cgi)
-        stages = _hardened_stages(capacity, shed_policy)
-        if throttle is not None:
-            # After validate+arrival, before admission: a refused
-            # request never touches the ledger or the journal.
-            stages.insert(2, ThrottleStage(throttle))
+        # The throttle sits before admission: a refused request never
+        # touches the ledger or the journal.
+        stages = compose_stages(
+            TimeoutBudgetStage(),
+            CircuitBreakerStage(reset_timeout=0.5),
+            RetryStage(RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)),
+            BackpressureStage(capacity, shed_policy=shed_policy),
+            ThrottleStage(throttle) if throttle is not None else None,
+        )
         broker = ServiceBroker(
             sim,
             web_node,

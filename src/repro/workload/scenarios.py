@@ -52,11 +52,14 @@ from ..core.clustering import (
 from ..core.faulttolerance import RetryPolicy
 from ..core.peering import BrokerPeerGroup, ShardPeerGroup
 from ..core.pipeline import (
-    cache_tier_stage_plan,
-    centralized_stage_plan,
-    distributed_stage_plan,
-    fault_tolerant_stage_plan,
-    sharded_stage_plan,
+    CacheTierStage,
+    CircuitBreakerStage,
+    LoadReportStage,
+    QueryCombineStage,
+    RetryStage,
+    ShardRouteStage,
+    TimeoutBudgetStage,
+    compose_stages,
 )
 from ..core.protocol import ReplyStatus
 from ..core.qos import QoSPolicy
@@ -358,14 +361,10 @@ def run_qos_experiment(
     if mode in ("broker", "centralized"):
         for index, backend in enumerate(backends, 1):
             # The two access models are two stage configurations of the
-            # same broker: the centralized plan has no AdmissionStage
-            # (admission happens at the front end) and ends with a
-            # LoadReportStage feeding the listener.
-            stage_plan = (
-                distributed_stage_plan()
-                if mode == "broker"
-                else centralized_stage_plan()
-            )
+            # same broker: the centralized plan ends with a
+            # LoadReportStage feeding the listener, which drops the
+            # broker's AdmissionStage (admission happens at the front
+            # end).
             broker = ServiceBroker(
                 sim,
                 web_node,
@@ -382,7 +381,9 @@ def run_qos_experiment(
                 # bounded queue drains FCFS.
                 priority_queueing=False,
                 name=f"broker{index}",
-                stages=stage_plan,
+                stages=compose_stages(
+                    LoadReportStage() if mode == "centralized" else None
+                ),
             )
             brokers.append(broker)
         routes = {f"svc{i}": b.address for i, b in enumerate(brokers, 1)}
@@ -623,12 +624,13 @@ def run_failure_recovery_experiment(
 ) -> FailureRecoveryResult:
     """Crash a replica on an MTBF schedule; measure what clients see.
 
-    One broker runs :func:`~repro.core.pipeline.fault_tolerant_stage_plan`
-    over *replicas* identical backend web servers (each a bounded CGI of
-    *service_time* seconds that honours ``service_time_scale``). Closed-
-    loop clients in three QoS classes request cacheable items from a
-    pool of *key_pool* keys, so the result cache holds recent — possibly
-    stale — answers for every key. A
+    One broker runs the fault-tolerant composition (timeout budget,
+    breaker, retry, failover) over *replicas* identical backend web
+    servers (each a bounded CGI of *service_time* seconds that honours
+    ``service_time_scale``). Closed-loop clients in three QoS classes
+    request cacheable items from a pool of *key_pool* keys, so the
+    result cache holds recent — possibly stale — answers for every
+    key. A
     :class:`~repro.net.faults.FaultInjector` replays
     :meth:`FaultPlan.crash_restart_cycle
     <repro.net.faults.FaultPlan.crash_restart_cycle>` against the first
@@ -690,10 +692,12 @@ def run_failure_recovery_experiment(
         pool_size=backend_capacity,
         dispatchers=backend_capacity * replicas,
         name="ft-broker",
-        stages=fault_tolerant_stage_plan(
-            retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
-            failure_threshold=3,
-            reset_timeout=0.5,
+        stages=compose_stages(
+            TimeoutBudgetStage(),
+            CircuitBreakerStage(reset_timeout=0.5),
+            RetryStage(
+                RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5)
+            ),
         ),
     )
     broker_client = BrokerClient(sim, web_node, {"items": broker.address})
@@ -912,8 +916,8 @@ def run_sharded_qos_experiment(
     :class:`~repro.core.sharding.ShardDirectory` seeded with *seed*
     maps request keys to shards; the front end's
     :class:`~repro.core.client.BrokerClient` resolves through it (it
-    addresses a *service*, never a broker), and every broker runs
-    :func:`~repro.core.pipeline.sharded_stage_plan` so a request
+    addresses a *service*, never a broker), and every broker's plan
+    carries a :class:`~repro.core.pipeline.ShardRouteStage` so a request
     landing on the wrong shard is relayed to the owner's leader.
 
     ``mode`` is ``"broker"`` (distributed admission) or
@@ -1006,7 +1010,6 @@ def run_sharded_qos_experiment(
     qos_policy = QoSPolicy(levels=levels, threshold=threshold, fractions=fractions)
 
     directory = ShardDirectory(metrics=metrics)
-    base_plan = "distributed" if mode == "broker" else "centralized"
     all_brokers: List[ServiceBroker] = []
     groups: List[ShardGroup] = []
     peers: List[ShardPeerGroup] = []
@@ -1048,8 +1051,9 @@ def run_sharded_qos_experiment(
                     priority_queueing=False,
                     metrics=metrics,
                     name=f"broker{index}s{shard}r{replica}",
-                    stages=sharded_stage_plan(
-                        directory, shard=shard, base=base_plan
+                    stages=compose_stages(
+                        ShardRouteStage(directory, shard=shard),
+                        LoadReportStage() if mode == "centralized" else None,
                     ),
                 )
                 next_port += 1
@@ -1340,8 +1344,8 @@ def _run_sharded_parallel(
                         priority_queueing=False,
                         metrics=metrics,
                         name=f"broker{index}s{shard}r{replica}",
-                        stages=sharded_stage_plan(
-                            directory, shard=shard, base="distributed"
+                        stages=compose_stages(
+                            ShardRouteStage(directory, shard=shard)
                         ),
                     )
                     next_port += 1
@@ -1665,13 +1669,14 @@ def run_cache_tier_experiment(
             window=combine_window,
         )
         if tier:
-            stages = cache_tier_stage_plan(
-                cache_tier,
-                combine_window=combine_window,
-                combine_max_batch=max_batch * brokers,
+            stages = compose_stages(
+                CacheTierStage(cache_tier),
+                QueryCombineStage(
+                    window=combine_window, max_batch=max_batch * brokers
+                ),
             )
         else:
-            stages = distributed_stage_plan()
+            stages = compose_stages()
         broker_list.append(
             ServiceBroker(
                 sim,

@@ -11,7 +11,7 @@ from repro.core import (
     QoSPolicy,
     ReplyStatus,
     ServiceBroker,
-    overload_protected_stage_plan,
+    compose_stages,
 )
 from repro.frontend import FrontendWebServer, WebApplication
 from repro.frontend.app import QOS_HEADER
@@ -38,7 +38,7 @@ def make_broker(sim, net, backend, capacity, policy, **kwargs):
         service="web",
         adapters=[HttpAdapter(sim, node, backend.address, name="origin")],
         qos=QoSPolicy(levels=3, threshold=10_000),
-        stages=overload_protected_stage_plan(capacity, shed_policy=policy),
+        stages=compose_stages(BackpressureStage(capacity, shed_policy=policy)),
         dispatchers=1,
         pool_size=1,
         **kwargs,

@@ -15,9 +15,10 @@ from repro.core import (
     ServiceBroker,
     SharedCacheTier,
     TransactionTracker,
-    cache_tier_stage_plan,
+    compose_stages,
     stage_plan,
 )
+from repro.core.pipeline import CacheTierStage, QueryCombineStage
 from repro.db import Database, DatabaseServer
 from repro.errors import NetworkError
 from repro.metrics import MetricsRegistry
@@ -183,8 +184,9 @@ def make_broker(
     sim, net, web, server, name, port, tier=None,
     cluster_window=0.0, combine_window=0.05, registry=None,
 ):
-    stages = cache_tier_stage_plan(
-        tier, combine_window=combine_window, combine_max_batch=8
+    stages = compose_stages(
+        CacheTierStage(tier),
+        QueryCombineStage(window=combine_window, max_batch=8),
     )
     return ServiceBroker(
         sim,

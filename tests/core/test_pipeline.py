@@ -14,9 +14,22 @@ from repro.core import (
     ServiceBroker,
     StageOutcome,
     StagePipeline,
-    centralized_stage_plan,
-    distributed_stage_plan,
+    compose_stages,
     stage_plan,
+)
+from repro.core.pipeline import (
+    ArrivalStage,
+    BackpressureStage,
+    CacheFillStage,
+    CircuitBreakerStage,
+    ClusterStage,
+    EnqueueStage,
+    ExecuteStage,
+    LoadReportStage,
+    ReplyStage,
+    RetryStage,
+    TimeoutBudgetStage,
+    ValidateServiceStage,
 )
 from repro.db import Database, DatabaseServer
 from repro.errors import BrokerError
@@ -62,7 +75,8 @@ class TestStageOrdering:
         assert broker.describe_pipeline() == DISTRIBUTED_ORDER
 
     def test_centralized_plan_order(self):
-        assert [s.name for s in centralized_stage_plan()] == CENTRALIZED_ORDER
+        plan = compose_stages(LoadReportStage())
+        assert [s.name for s in plan] == CENTRALIZED_ORDER
 
     def test_stage_plan_factory_matches_model(self):
         assert [s.name for s in stage_plan("distributed")] == DISTRIBUTED_ORDER
@@ -81,7 +95,7 @@ class TestStageOrdering:
 
     def test_stages_bind_to_exactly_one_broker(self, sim, net, db_backend):
         node = net.node("webhost")
-        plan = distributed_stage_plan()
+        plan = compose_stages()
 
         def build(port, stages):
             return ServiceBroker(
@@ -227,9 +241,12 @@ class TestCustomStageInjection:
     def test_noop_stage_inserted_without_touching_core(
         self, sim, net, db_backend
     ):
-        broker, client = make_broker(sim, net, db_backend)
         probe = NoOpStage()
-        broker.pipeline.insert_before("admission", probe)
+        plan = compose_stages()
+        at = DISTRIBUTED_ORDER.index("admission")
+        broker, client = make_broker(
+            sim, net, db_backend, stages=plan[:at] + [probe] + plan[at:]
+        )
         assert broker.describe_pipeline() == (
             DISTRIBUTED_ORDER[:3] + ["no-op"] + DISTRIBUTED_ORDER[3:]
         )
@@ -250,8 +267,12 @@ class TestCustomStageInjection:
     def test_custom_dispatch_stage_annotates_context(
         self, sim, net, db_backend
     ):
-        broker, client = make_broker(sim, net, db_backend)
-        broker.pipeline.insert_after("execute", TaggingBatchStage())
+        plan = compose_stages()
+        at = DISTRIBUTED_ORDER.index("execute") + 1
+        broker, client = make_broker(
+            sim, net, db_backend,
+            stages=plan[:at] + [TaggingBatchStage()] + plan[at:],
+        )
 
         def run():
             return (
@@ -265,16 +286,17 @@ class TestCustomStageInjection:
         assert reply.context.annotations["tagged"] is True
         assert "tagging" in reply.context.stage_names()
 
-    def test_insert_before_unknown_stage_is_an_error(
-        self, sim, net, db_backend
-    ):
-        broker, _ = make_broker(sim, net, db_backend)
-        with pytest.raises(BrokerError, match="no stage named"):
-            broker.pipeline.insert_before("ghost", NoOpStage())
+    def test_composer_rejects_stage_without_canonical_slot(self):
+        with pytest.raises(BrokerError, match="no canonical slot"):
+            compose_stages(NoOpStage())
 
     def test_custom_plan_via_constructor(self, sim, net, db_backend):
-        plan = distributed_stage_plan()
-        plan.insert(3, NoOpStage())
+        # A hand-built list: no cache lookup, admission gate or fallback.
+        plan = [
+            ValidateServiceStage(), ArrivalStage(), NoOpStage(),
+            EnqueueStage(), ClusterStage(), ExecuteStage(), CacheFillStage(),
+            ReplyStage(),
+        ]
         broker, client = make_broker(sim, net, db_backend, stages=plan)
         assert "no-op" in broker.describe_pipeline()
 
@@ -293,6 +315,39 @@ class TestCustomStageInjection:
         pipeline = StagePipeline(broker, [stage])
         assert stage.broker is broker
         assert len(pipeline) == 1 and list(pipeline) == [stage]
+
+
+def names(plan):
+    return [stage.name for stage in plan]
+
+
+class TestComposer:
+    def test_argument_order_is_irrelevant(self):
+        forward = compose_stages(TimeoutBudgetStage(), BackpressureStage(4))
+        backward = compose_stages(BackpressureStage(4), TimeoutBudgetStage())
+        assert names(forward) == names(backward)
+
+    def test_configured_instances_are_used(self):
+        retry = RetryStage()
+        backpressure = BackpressureStage(4)
+        plan = compose_stages(backpressure, None, retry)
+        assert retry in plan and backpressure in plan
+
+    def test_fault_stage_swaps_execute_for_the_fault_branch(self):
+        plan = names(compose_stages(CircuitBreakerStage()))
+        assert "execute" not in plan
+        dispatch = plan[plan.index("cluster") + 1:]
+        assert dispatch == [
+            "breaker", "retry", "failover", "fidelity", "cache-fill", "reply",
+        ]
+
+    def test_load_report_drops_broker_admission(self):
+        assert "admission" in names(compose_stages())
+        assert "admission" not in names(compose_stages(LoadReportStage()))
+
+    def test_stage_given_twice_is_an_error(self):
+        with pytest.raises(BrokerError, match="given twice"):
+            compose_stages(RetryStage(), RetryStage())
 
 
 class TestModelEquivalence:

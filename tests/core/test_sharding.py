@@ -25,8 +25,9 @@ from repro.core import (
     ShardDirectory,
     ShardGroup,
     ShardPeerGroup,
-    sharded_stage_plan,
+    compose_stages,
 )
+from repro.core.pipeline import ShardRouteStage
 from repro.core.centralized import LoadListener, ShardLoadReport
 from repro.core.peering import JournalSync, RouteAdvert
 from repro.errors import BrokerError
@@ -368,7 +369,7 @@ def build_sharded_service(sim, net, shards=2, replicas=2, service="items"):
                 qos=QoSPolicy(levels=3, threshold=100),
                 pool_size=2,
                 name=f"s{shard}r{replica}",
-                stages=sharded_stage_plan(directory, shard=shard),
+                stages=compose_stages(ShardRouteStage(directory, shard=shard)),
             )
             port += 1
             group.add(broker)
@@ -522,7 +523,7 @@ class TestShardRouteStage:
             return out, broker
 
         base, _ = run_one(None)
-        degenerate, broker = run_one(sharded_stage_plan())
+        degenerate, broker = run_one(compose_stages(ShardRouteStage()))
         assert degenerate == base
         assert broker.metrics.counter("broker.shard.local") == 10
         assert broker.metrics.counter("broker.shard.forwarded") == 0

@@ -31,13 +31,15 @@ import json
 from pathlib import Path
 
 from repro.cli import main as cli_main
-from repro.core.autoscale import TenantThrottle, TokenBucket
-from repro.core.faulttolerance import RetryPolicy
+from repro.core.autoscale import TenantThrottle
 from repro.core.pipeline import (
+    STAGE_MODELS,
     BackpressureStage,
+    CircuitBreakerStage,
+    RetryStage,
     ThrottleStage,
-    fault_tolerant_stage_plan,
-    overload_protected_stage_plan,
+    TimeoutBudgetStage,
+    compose_stages,
     stage_plan,
 )
 from repro.workload.chaos import (
@@ -259,25 +261,22 @@ def snapshot():
 
 def stage_orders():
     """Stage-name order of every composition the experiments run."""
-    hardened = fault_tolerant_stage_plan(
-        retry=RetryPolicy(max_attempts=3, base_delay=0.05, jitter=0.5),
-        failure_threshold=3,
-        reset_timeout=0.5,
-    )
-    boundary = next(i for i, stage in enumerate(hardened) if stage.boundary)
-    hardened.insert(boundary, BackpressureStage(48))
-    throttled = list(hardened)
-    throttled.insert(2, ThrottleStage(TenantThrottle(rate=1.0, burst=1.0)))
-    plans = {
-        model: stage_plan(model)
-        for model in (
-            "distributed", "centralized", "fault-tolerant", "sharded",
-            "cache-tier",
+
+    def hardened(*extra):
+        return compose_stages(
+            TimeoutBudgetStage(),
+            CircuitBreakerStage(),
+            RetryStage(),
+            BackpressureStage(48),
+            *extra,
         )
-    }
-    plans["overload"] = overload_protected_stage_plan(40)
-    plans["hardened"] = hardened
-    plans["hardened-throttled"] = throttled
+
+    plans = {model: stage_plan(model) for model in STAGE_MODELS}
+    plans["overload"] = compose_stages(BackpressureStage(40))
+    plans["hardened"] = hardened()
+    plans["hardened-throttled"] = hardened(
+        ThrottleStage(TenantThrottle(rate=1.0, burst=1.0))
+    )
     return {
         name: [stage.name for stage in stages]
         for name, stages in sorted(plans.items())

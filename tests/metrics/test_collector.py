@@ -38,13 +38,6 @@ class TestMetricsRegistry:
         assert m.ratio("hits", "total") == 0.75
         assert m.ratio("hits", "empty") == 0.0
 
-    def test_events_recorded_in_order(self):
-        m = MetricsRegistry()
-        m.record_event("arrival", 1.0)
-        m.record_event("arrival", 2.5)
-        assert m.events("arrival") == [1.0, 2.5]
-        assert m.events("none") == []
-
     def test_iteration_sorted(self):
         m = MetricsRegistry()
         m.increment("z")

@@ -10,6 +10,9 @@ the determinism contract (results never depend on the worker count).
 
 from __future__ import annotations
 
+import contextlib
+import time
+
 import pytest
 
 from repro.errors import SimError
@@ -271,7 +274,18 @@ class TestValidation:
         assert available_workers() >= 1
 
 
+@contextlib.contextmanager
+def _finishes_within(seconds):
+    """Fail unless the block (error handling included) ends in time."""
+    start = time.perf_counter()
+    yield
+    elapsed = time.perf_counter() - start
+    assert elapsed < seconds, f"took {elapsed:.2f}s, limit {seconds}s"
+
+
 class TestErrorPropagation:
+    """A failing partition aborts the run promptly — no join timeout."""
+
     def test_builder_exception_surfaces_inline(self):
         def broken(sim, gateway):
             raise ValueError("boom at build time")
@@ -279,8 +293,9 @@ class TestErrorPropagation:
         driver = ParallelSimulation(
             [PartitionSpec("bad", broken)], lookahead=1.0
         )
-        with pytest.raises(ValueError, match="boom at build time"):
-            driver.run(until=1.0)
+        with _finishes_within(1.0):
+            with pytest.raises(ValueError, match="boom at build time"):
+                driver.run(until=1.0)
 
     def test_builder_exception_surfaces_from_worker(self):
         def broken(sim, gateway):
@@ -291,8 +306,9 @@ class TestErrorPropagation:
             lookahead=1.0,
             workers=2,
         )
-        with pytest.raises(SimError, match="boom in the worker"):
-            driver.run(until=1.0)
+        with _finishes_within(1.0):
+            with pytest.raises(SimError, match="boom in the worker"):
+                driver.run(until=1.0)
 
     def test_model_exception_surfaces_from_worker(self):
         def explodes_later(sim, gateway):
@@ -312,5 +328,6 @@ class TestErrorPropagation:
             lookahead=1.0,
             workers=2,
         )
-        with pytest.raises(SimError, match="mid-flight failure"):
-            driver.run(until=10.0)
+        with _finishes_within(1.0):
+            with pytest.raises(SimError, match="mid-flight failure"):
+                driver.run(until=10.0)

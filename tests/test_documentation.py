@@ -159,36 +159,18 @@ class TestDocsReferenceCode:
         assert not rejected, f"docs show invocations the CLI rejects: {rejected}"
 
     def test_every_pipeline_stage_is_documented(self):
-        from repro.core.pipeline import stage_plan
+        from repro.core.pipeline import CANONICAL_STAGES
 
         design = _read_doc("DESIGN.md")
-        missing = set()
-        for model in (
-            "distributed",
-            "centralized",
-            "fault-tolerant",
-            "sharded",
-            "cache-tier",
-        ):
-            for stage in stage_plan(model):
-                if stage.name not in design:
-                    missing.add(stage.name)
+        missing = {
+            cls.name for cls, _ in CANONICAL_STAGES if cls.name not in design
+        }
         assert not missing, f"DESIGN.md never mentions stages: {missing}"
 
     def test_readme_architecture_diagram_uses_real_stage_names(self):
-        from repro.core.pipeline import stage_plan
+        from repro.core.pipeline import CANONICAL_STAGES
 
-        known = {
-            stage.name
-            for model in (
-                "distributed",
-                "centralized",
-                "fault-tolerant",
-                "sharded",
-                "cache-tier",
-            )
-            for stage in stage_plan(model)
-        }
+        known = {cls.name for cls, _ in CANONICAL_STAGES}
         readme = _read_doc("README.md")
         diagram = readme.split("## Architecture")[1].split("```")[1]
         # Every arrow-joined token inside the ServiceBroker box must be a
