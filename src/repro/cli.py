@@ -1135,13 +1135,16 @@ def _describe_cache() -> str:
         "",
         "Materialized views (repro.db.views.ViewCatalog): grouped",
         "aggregates registered on the database are answered from a",
-        "precomputed index; a write to the base table marks the view",
-        "dirty and the next read refreshes it lazily.",
+        "precomputed index. Each view observes its base table row by",
+        "row: a write that changes a grouping or aggregated column marks",
+        "the old and new groups stale, and the next read recomputes only",
+        "those groups through the base table's index.",
         "",
         "Metric families: broker.cache.* mirrors the per-broker local",
         "caches; broker.cachetier.* covers the shared store, write-behind",
         "queue, and cross-broker combining; db.view.hits and",
-        "db.view.invalidations count view serves and dirty-markings.",
+        "db.view.invalidations count view serves and up-to-date ->",
+        "stale transitions.",
     ]
     return "\n".join(lines)
 

@@ -65,9 +65,9 @@ class Database:
     def install_views(self, catalog) -> None:
         """Route statements through a materialized-view catalog.
 
-        Writes against a view's base table mark it dirty; reads a view
-        can answer are served from its index instead of the executor
-        (see :mod:`repro.db.views`).
+        Reads a view can answer are served from its index instead of
+        the executor; views keep themselves current by observing their
+        base tables (see :mod:`repro.db.views`).
         """
         self.views = catalog
 
@@ -75,8 +75,8 @@ class Database:
         """Parse (if needed) and execute one statement.
 
         With a view catalog installed, the statement is offered to the
-        views first: a served read returns immediately, a write falls
-        through after invalidating the affected views.
+        views first: a served read returns immediately, anything else
+        falls through to the executor.
         """
         stmt = parse(statement) if isinstance(statement, str) else statement
         views = self.views

@@ -2,12 +2,15 @@
 
 Rows are tuples held in a slotted list; deletion tombstones the slot so
 row ids stay stable (indexes reference row ids). All mutations keep
-every index consistent.
+every index consistent, then report the change to every registered
+observer as ``(old_row, new_row)`` — ``old_row`` is ``None`` for an
+insert and ``new_row`` is ``None`` for a delete. Materialized views
+(:mod:`repro.db.views`) maintain themselves through this hook.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import QueryError
 from .index import HashIndex, SortedIndex
@@ -16,6 +19,8 @@ from .schema import Column, Schema
 __all__ = ["Table"]
 
 Row = Tuple[Any, ...]
+#: Called after every row change with ``(old_row, new_row)``.
+RowObserver = Callable[[Optional[Row], Optional[Row]], None]
 
 
 class Table:
@@ -27,6 +32,7 @@ class Table:
         self._rows: List[Optional[Row]] = []
         self._live = 0
         self.indexes: Dict[str, Union[HashIndex, SortedIndex]] = {}
+        self._observers: List[RowObserver] = []
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -37,6 +43,10 @@ class Table:
 
     def __len__(self) -> int:
         return self._live
+
+    def subscribe(self, observer: RowObserver) -> None:
+        """Call *observer* with ``(old_row, new_row)`` after each change."""
+        self._observers.append(observer)
 
     # -- mutation --------------------------------------------------------
 
@@ -57,6 +67,8 @@ class Table:
         self._live += 1
         for column, index in self.indexes.items():
             index.insert(row[self.schema.index_of(column)], row_id)
+        for observer in self._observers:
+            observer(None, row)
         return row_id
 
     def delete(self, row_id: int) -> None:
@@ -66,10 +78,13 @@ class Table:
         self._live -= 1
         for column, index in self.indexes.items():
             index.remove(row[self.schema.index_of(column)], row_id)
+        for observer in self._observers:
+            observer(row, None)
 
     def update(self, row_id: int, changes: Mapping[str, Any]) -> None:
         """Overwrite columns of one row, keeping indexes consistent."""
-        row = list(self._fetch(row_id))
+        old = self._fetch(row_id)
+        row = list(old)
         for column, value in changes.items():
             pos = self.schema.index_of(column)
             coerced = self.schema.columns[pos].coerce(value)
@@ -78,7 +93,9 @@ class Table:
                 index.remove(row[pos], row_id)
                 index.insert(coerced, row_id)
             row[pos] = coerced
-        self._rows[row_id] = tuple(row)
+        new = self._rows[row_id] = tuple(row)
+        for observer in self._observers:
+            observer(old, new)
 
     def _fetch(self, row_id: int) -> Row:
         if not 0 <= row_id < len(self._rows) or self._rows[row_id] is None:

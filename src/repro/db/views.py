@@ -7,14 +7,18 @@ once (``SELECT grp, COUNT(*) FROM records GROUP BY grp``) and then
 answers each keyed aggregate with a single dictionary probe, following
 the ``materialized-views-pattern`` named in the roadmap.
 
-Invalidation is hooked into the write path: a
-:class:`ViewCatalog` installed on a :class:`~repro.db.engine.Database`
-intercepts every statement — writes against a view's base table mark
-the view *dirty*, and the next read that the view can answer triggers a
-lazy refresh (one base-table recompute, amortized over every read until
-the next write). Reads the view cannot answer fall through to the
-normal executor untouched, so installing a catalog with no matching
-views changes nothing.
+Maintenance is row-level: a view subscribes to its base
+:class:`~repro.db.table.Table` when it is created, so it sees every
+insert, update and delete, whether it came through SQL or through the
+table directly. A change that leaves the group column and the
+aggregated columns alone is ignored; any other change marks the old and
+new group keys *stale*. The next read the view can answer refreshes
+lazily, recomputing only the stale groups (``WHERE <group> IN
+(stale...)``, which the planner serves from the base table's index on
+the group column). Only the first build aggregates the whole table.
+Reads the view cannot answer fall through to the normal executor
+untouched, so installing a catalog with no matching views changes
+nothing.
 
 The served :class:`~repro.db.executor.ResultSet` carries
 ``plan="view:<name>"`` and a one-row ``rows_examined``, so the database
@@ -24,7 +28,8 @@ table scan — that cost difference *is* the optimization.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Union
+from dataclasses import replace
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from ..errors import QueryError
 from ..metrics import MetricsRegistry
@@ -33,18 +38,14 @@ from .executor import ExecutionStats, ResultSet, execute_statement
 from .parser import parse
 from .query import (
     Comparison,
-    DeleteStatement,
     InList,
-    InsertStatement,
     SelectStatement,
     Statement,
-    UpdateStatement,
     aggregate_label,
 )
+from .table import Row
 
 __all__ = ["MaterializedView", "ViewCatalog"]
-
-_WRITE_STATEMENTS = (InsertStatement, UpdateStatement, DeleteStatement)
 
 
 class MaterializedView:
@@ -60,7 +61,10 @@ class MaterializedView:
         SQL (or parsed statement) of the form
         ``SELECT <group_col>, <aggregates...> FROM <table> GROUP BY
         <group_col>`` — a plain grouped aggregate with no WHERE, ORDER
-        BY, or LIMIT.
+        BY, or LIMIT. The base table and every named column must exist,
+        and SUM/AVG must aggregate a numeric column.
+    on_invalidate:
+        Called when a write turns the view from up to date to stale.
     """
 
     def __init__(
@@ -68,6 +72,7 @@ class MaterializedView:
         name: str,
         database: Database,
         definition: Union[str, SelectStatement],
+        on_invalidate: Optional[Callable[[], None]] = None,
     ) -> None:
         stmt = parse(definition) if isinstance(definition, str) else definition
         if not isinstance(stmt, SelectStatement):
@@ -85,6 +90,19 @@ class MaterializedView:
             raise QueryError(
                 f"view {name!r}: definition must select its grouping column"
             )
+        base = database.table(stmt.table)
+        schema = base.schema
+        group_position = schema.index_of(stmt.group_by)
+        watched = {group_position}
+        for function, column in stmt.aggregates:
+            if column is None:
+                continue
+            position = schema.index_of(column)
+            if function in ("SUM", "AVG") and schema.columns[position].type is str:
+                raise QueryError(
+                    f"view {name!r}: {function}({column}) needs a numeric column"
+                )
+            watched.add(position)
         self.name = name
         self.database = database
         self.definition = stmt
@@ -94,24 +112,59 @@ class MaterializedView:
         self._labels: Tuple[str, ...] = tuple(
             aggregate_label(agg) for agg in self.aggregates
         )
+        self._base = base
+        self._group_position = group_position
+        self._watched = tuple(watched)
         self._index: Dict[object, Tuple] = {}
-        self.dirty = True
+        self._built = False
+        self._stale: Set[object] = set()
+        self._on_invalidate = on_invalidate
         self.refreshes = 0
+        base.subscribe(self._row_changed)
+
+    @property
+    def dirty(self) -> bool:
+        """True before the first build and while any group is stale."""
+        return not self._built or bool(self._stale)
+
+    def _row_changed(self, old: Optional[Row], new: Optional[Row]) -> None:
+        """Base-table observer: mark the groups a change can affect."""
+        if not self._built:
+            return  # the first build reads everything anyway
+        if (
+            old is not None
+            and new is not None
+            and all(old[p] == new[p] for p in self._watched)
+        ):
+            return  # the change touches no column the view reads
+        if not self._stale and self._on_invalidate is not None:
+            self._on_invalidate()
+        if old is not None:
+            self._stale.add(old[self._group_position])
+        if new is not None:
+            self._stale.add(new[self._group_position])
 
     def refresh(self) -> None:
-        """Recompute the view from the base table (clears ``dirty``)."""
-        result = execute_statement(
-            self.database.table(self.table), self.definition
-        )
+        """Bring the view up to date with its base table (clears ``dirty``).
+
+        The first build aggregates the whole table; later refreshes
+        re-aggregate only the stale groups and drop those left empty.
+        """
+        stmt = self.definition
+        if self._built:
+            stale = tuple(self._stale)
+            stmt = replace(stmt, where=InList(self.group_by, stale))
+            for key in stale:
+                self._index.pop(key, None)
+        else:
+            self._index = {}
         # Definition output: the group key first, then the aggregates in
         # select-list order (see the executor's aggregate layout).
-        self._index = {row[0]: tuple(row[1:]) for row in result.rows}
-        self.dirty = False
+        for row in execute_statement(self._base, stmt).rows:
+            self._index[row[0]] = row[1:]
+        self._stale.clear()
+        self._built = True
         self.refreshes += 1
-
-    def note_write(self) -> None:
-        """Mark the view stale; the next served read refreshes first."""
-        self.dirty = True
 
     def _empty_group_row(self) -> Tuple:
         # Aggregates over an empty group: COUNT is 0, the rest NULL.
@@ -219,9 +272,10 @@ class ViewCatalog:
     """The set of materialized views installed on one database.
 
     Install with :meth:`Database.install_views`; the database then
-    routes every statement through :meth:`intercept` — writes
-    invalidate, answerable reads are served, everything else falls
-    through to the executor.
+    routes every statement through :meth:`intercept` — answerable reads
+    are served, everything else falls through to the executor.
+    ``db.view.hits`` counts served reads and ``db.view.invalidations``
+    counts up-to-date → stale transitions of the catalog's views.
     """
 
     def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
@@ -242,7 +296,9 @@ class ViewCatalog:
         definition: Union[str, SelectStatement],
     ) -> MaterializedView:
         """Define, register, and return a view over *database*."""
-        view = MaterializedView(name, database, definition)
+        view = MaterializedView(
+            name, database, definition, on_invalidate=self._h_invalidations.inc
+        )
         self._by_table.setdefault(view.table, []).append(view)
         return view
 
@@ -251,26 +307,17 @@ class ViewCatalog:
     ) -> Optional[ResultSet]:
         """Apply the catalog to *stmt*; a ResultSet if a view served it.
 
-        Write statements mark every view on their base table dirty and
-        return ``None`` (the write still executes normally). Reads
-        return the first matching view's answer, or ``None`` to fall
-        through.
+        Reads return the first matching view's answer; everything else,
+        writes included, returns ``None`` and falls through (views see
+        writes through their base table, not here).
         """
-        views = self._by_table.get(stmt.table)
-        if not views:
+        if not isinstance(stmt, SelectStatement):
             return None
-        if isinstance(stmt, _WRITE_STATEMENTS):
-            for view in views:
-                if not view.dirty:
-                    view.note_write()
-                    self._h_invalidations.inc()
-            return None
-        if isinstance(stmt, SelectStatement):
-            for view in views:
-                result = view.answer(stmt)
-                if result is not None:
-                    self._h_hits.inc()
-                    return result
+        for view in self._by_table.get(stmt.table, ()):
+            result = view.answer(stmt)
+            if result is not None:
+                self._h_hits.inc()
+                return result
         return None
 
     def __repr__(self) -> str:

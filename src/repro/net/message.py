@@ -47,21 +47,44 @@ def _size_str(payload: str) -> int:
 
 
 def _size_sequence(payload: Any) -> int:
-    """Size handler for list/tuple/set/frozenset: items plus framing."""
+    """Size handler for list/tuple/set/frozenset: items plus framing.
+
+    Strings, numbers, ``None`` and booleans are sized inline. A nested
+    plain tuple (a result row) is framed where it is met and its items
+    are walked afterwards from a work list, allocated only once such a
+    tuple turns up; a result set thus costs one call, not one per row.
+    """
     total = 8
     get = _HANDLERS.get
-    for item in payload:
-        cls = item.__class__
-        if cls is str:
-            total += (
-                len(item)
-                if item.isascii()
-                else len(item.encode("utf-8", errors="replace"))
-            )
-            continue
-        handler = get(cls)
-        total += handler(item) if handler is not None else estimate_size(item)
-    return total
+    nested = None
+    items = payload
+    while True:
+        for item in items:
+            cls = item.__class__
+            if cls is str:
+                total += (
+                    len(item)
+                    if item.isascii()
+                    else len(item.encode("utf-8", errors="replace"))
+                )
+            elif cls is int or cls is float:
+                total += 8
+            elif cls is tuple:
+                total += 8
+                if nested is None:
+                    nested = [item]
+                else:
+                    nested.append(item)
+            elif cls is _NONE_TYPE or cls is bool:
+                total += 1
+            else:
+                handler = get(cls)
+                total += (
+                    handler(item) if handler is not None else estimate_size(item)
+                )
+        if not nested:
+            return total
+        items = nested.pop()
 
 
 def _size_dict(payload: Dict[Any, Any]) -> int:

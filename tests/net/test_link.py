@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 
 import pytest
@@ -83,6 +84,40 @@ class TestEstimateSize:
     def test_nested_structures(self):
         payload = {"rows": [("a", 1), ("b", 2)]}
         assert estimate_size(payload) > 20
+
+    def test_sequence_sizes_are_pinned(self):
+        # Values captured before sequence sizing was inlined; the sizes
+        # feed simulated transfer times, so they must never drift.
+        Point = namedtuple("Point", "x y label")
+
+        class Pair(tuple):
+            pass
+
+        result = (
+            "ok",
+            ("id", "grp", "val", "name"),
+            ((1, 2, 3.5, "a"), (4, None, -7, "café"), (True, False, 0.0, "")),
+            {
+                "plan": "view:v",
+                "rows_examined": 3,
+                "rows_matched": 3,
+                "rows_returned": 3,
+                "rows_written": 0,
+                "sorted_rows": 0,
+            },
+        )
+        assert estimate_size(result) == 238
+        assert estimate_size(False) == 1
+        assert estimate_size((True, None, False)) == 11
+        assert estimate_size(Point(1, 2.5, "p")) == 25
+        assert estimate_size(Pair((1, "xy", (2, 3)))) == 42
+        nested = (
+            (),
+            ((1,), ("ab", (None, [1, 2]))),
+            frozenset({3}),
+            [Point(0, 0, "")],
+        )
+        assert estimate_size(nested) == 131
 
     def test_opaque_object_uses_repr_floor(self):
         class Opaque:
